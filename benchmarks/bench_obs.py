@@ -11,7 +11,7 @@ server — measured twice under identical concurrent load:
 * **on**  — the full bundle: metrics + request spans + a JSONL trace sink
   and snapshot directory on disk.
 
-Both req/s numbers and their ratio land in ``BENCH_PR10.json``
+Both req/s numbers and their ratio land in the perf record
 (``results.obs``); the acceptance budget is ≤5% cost, asserted here with
 slack for noisy shared runners (the recorded ratio carries the real
 number).

@@ -7,8 +7,9 @@ section; the resulting rows are printed so that running
 
 produces the reproduced tables alongside the timing numbers.  Bench modules
 also push their rows into the session-scoped ``perf_record`` fixture, which
-is persisted as ``BENCH_PR10.json`` at the repo root when the session ends —
-the machine-readable perf trajectory consumed by later PRs (``BENCH_PR1``
+is persisted at the repo root when the session ends, as ``$REPRO_BENCH_RECORD``
+(default ``BENCH_PR13.json``) — the machine-readable perf trajectory consumed
+by later PRs (``BENCH_PR1``
 recorded the bit-packed kernel; PR2 the cached-pipeline sweep of the
 unified API; PR3 gate-netlist construction and gate-level differential
 verification; PR4 the compiled state-based engine and bit-parallel mapped
@@ -19,11 +20,13 @@ exact SAT backend's encode/solve costs and the optimality-gap table from
 ``bench_sat.py``; PR9 the prefork serving fleet's saturation throughput,
 tail latency and thundering-herd coalescing from ``bench_fleet.py``; PR10
 the observability subsystem's serving-overhead budget from
-``bench_obs.py``).
+``bench_obs.py``; ``BENCH_PR13`` the structural stage seconds of ``muller_pipeline``
+at depths 16..96 from ``bench_table7_scalable.py``).
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -79,6 +82,7 @@ def print_table():
 _REQUIRED_SECTIONS = (
     "table6",
     "table7",
+    "table7_structural_scaling",
     "count_reachable_markings_s",
     "fig13_pipeline",
     "mapping",
@@ -94,14 +98,14 @@ _REQUIRED_SECTIONS = (
 
 @pytest.fixture(scope="session")
 def perf_record(request):
-    """Session-wide perf record, persisted as BENCH_PR10.json on teardown."""
+    """Session-wide perf record, persisted as ``$REPRO_BENCH_RECORD`` on teardown."""
     record: dict = {
-        "pr": 10,
+        "pr": 13,
         "kernel": (
-            "repro.obs: end-to-end observability — cross-process distributed "
-            "tracing over X-Repro-Trace, an exactly-mergeable fleet metrics "
-            "registry with Prometheus /metrics exposition, and the repro top "
-            "dashboard — at near-zero serving overhead when off"
+            "structural region covers: the quiescent, backward and generalized "
+            "region covers gather their cubes and run one bucketed containment "
+            "pass on packed (care, value) pairs instead of folding Cover.union, "
+            "and Farkas elimination picks the cheapest column next"
         ),
         "seed_baseline": SEED_BASELINE,
         "pr3_baseline": PR3_BASELINE,
@@ -209,4 +213,8 @@ def perf_record(request):
             "on_req_per_s": obs_results.get("on_req_per_s"),
             "on_over_off": obs_results.get("on_over_off"),
         }
-    write_perf_record(repo_root / "BENCH_PR10.json", record)
+    scaling = record["results"].get("table7_structural_scaling", {})
+    if scaling:
+        record["structural_scaling"] = scaling
+    name = os.environ.get("REPRO_BENCH_RECORD") or "BENCH_PR13.json"
+    write_perf_record(repo_root / name, record)

@@ -19,7 +19,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Optional
 
 from repro.boolean.cube import Cube
-from repro.boolean.interning import mask_of_tuple
+from repro.boolean.interning import _VAR_INDEX, mask_of_tuple
 
 
 class Cover:
@@ -265,6 +265,25 @@ class Cover:
             kept.append(cube)
         return Cover._make(kept, variables, mask)
 
+    @classmethod
+    def union_all(cls, covers: Iterable["Cover"], variables: Iterable[str] = ()) -> "Cover":
+        """Disjunction of many covers in one containment pass.
+
+        Equal, cube for cube and in order, to folding :meth:`union` over
+        ``covers`` starting from ``Cover.empty(variables)``: the cubes no
+        other cube covers, the first copy of equal cubes, in arrival order.
+        The fold re-scans the kept cubes for every cube it adds; this gathers
+        all cubes first and runs :func:`_uncontained` once.
+        """
+        result = cls.empty(variables)
+        cubes: list[Cube] = []
+        for cover in covers:
+            result._variables, result._mask = result._merged_universe(cover)
+            cubes.extend(cover._cubes)
+        kept = sorted(_uncontained([(cube._care, cube._value) for cube in cubes]))
+        result._cubes = [cubes[i] for i in kept]
+        return result
+
     def __or__(self, other: "Cover") -> "Cover":
         return self.union(other)
 
@@ -284,66 +303,69 @@ class Cover:
 
     def intersect_cube(self, cube: Cube) -> "Cover":
         """Conjunction of the cover with a single cube."""
-        products = []
-        for other in self._cubes:
-            product = other.intersect(cube)
-            if product is not None:
-                products.append(product)
         if cube._care & ~self._mask:
-            return Cover(products, self._variables).remove_contained()
-        return Cover._make(products, self._variables, self._mask).remove_contained()
+            return _reference_intersect_cube(self, cube)
+        terms = _cleaned(_anded(self._cubes, cube))
+        return Cover._make(_cubes_of(terms), self._variables, self._mask)
 
     def sharp_cube(self, cube: Cube) -> "Cover":
         """Difference ``cover \\ cube`` (sharp operation)."""
-        result: list[Cube] = []
-        for own in self._cubes:
-            if not own.intersects(cube):
-                result.append(own)
-                continue
-            if cube.covers(own):
-                continue
-            for piece in cube.complement_cubes():
-                product = own.intersect(piece)
-                if product is not None:
-                    result.append(product)
         if cube._care & ~self._mask:
-            return Cover(result, self._variables).remove_contained()
-        return Cover._make(result, self._variables, self._mask).remove_contained()
+            return _reference_sharp_cube(self, cube)
+        terms = _cleaned(_sharped(_terms_of(self._cubes), cube))
+        return Cover._make(_cubes_of(terms), self._variables, self._mask)
 
     def sharp(self, other: "Cover") -> "Cover":
         """Difference ``cover \\ other``."""
-        result = self
-        for cube in other:
-            result = result.sharp_cube(cube)
-            if result.is_empty():
-                break
-        return result
+        return self.anchored_sharp(None, (other,))
+
+    def anchored_sharp(self, anchor: Optional[Cube], others: Iterable["Cover"]) -> "Cover":
+        """``self.intersect_cube(anchor)``, then ``.sharp(other)`` for each of ``others``.
+
+        One packed run, equal cube for cube to the chained calls (no
+        intersection when ``anchor`` is ``None``): every step works on
+        ``(care, value)`` terms and a :class:`Cube` is built only for a term
+        that survives the whole chain.
+        """
+        others = list(others)
+        mask = self._mask
+        if (anchor is not None and anchor._care & ~mask) or any(
+            cube._care & ~mask for other in others for cube in other._cubes
+        ):
+            # the universe grows on the way: take the cube-by-cube path
+            result = self if anchor is None else _reference_intersect_cube(self, anchor)
+            for other in others:
+                result = _reference_sharp(result, other)
+            return result
+        if anchor is None:
+            terms = _terms_of(self._cubes)
+        else:
+            terms = _cleaned(_anded(self._cubes, anchor))
+        for other in others:
+            for cube in other._cubes:
+                if not terms:
+                    break
+                terms = _cleaned(_sharped(terms, cube))
+        return Cover._make(_cubes_of(terms), self._variables, mask)
 
     def __sub__(self, other: "Cover") -> "Cover":
         return self.sharp(other)
 
     def complement(self) -> "Cover":
         """Complement of the cover over its variable universe."""
-        result = Cover.universe(self._variables)
-        for cube in self._cubes:
-            result = result.sharp_cube(cube)
-            if result.is_empty():
-                break
-        return result
+        return Cover.universe(self._variables).sharp(self)
 
     def remove_contained(self) -> "Cover":
-        """Remove cubes that are single-cube contained in another cube."""
-        kept: list[Cube] = []
-        cubes = sorted(self._cubes, key=Cube.num_literals)
-        for cube in cubes:
-            contained = False
-            for other in kept:
-                if other.covers(cube):
-                    contained = True
-                    break
-            if not contained:
-                kept.append(cube)
-        return Cover._make(kept, self._variables, self._mask)
+        """Remove cubes that are single-cube contained in another cube.
+
+        The kept cubes are ordered by literal count (stable); of equal cubes
+        the first copy is kept.
+        """
+        cubes = self._cubes
+        if len(cubes) < 2:
+            return Cover._make(list(cubes), self._variables, self._mask)
+        kept = _uncontained([(cube._care, cube._value) for cube in cubes])
+        return Cover._make([cubes[i] for i in kept], self._variables, self._mask)
 
     def restrict(self, variables: Iterable[str]) -> "Cover":
         """Project every cube onto a subset of variables (existential)."""
@@ -377,6 +399,227 @@ class Cover:
             v for v in other._variables if v not in seen
         )
         return variables, self._mask | other._mask
+
+
+# ---------------------------------------------------------------------- #
+# Packed cube chains
+#
+# The region covers of the structural flow chain containment, intersection
+# and sharp steps over covers of hundreds of cubes.  These helpers run such a
+# chain on packed *terms* ``(care, value, base, extra)``: ``base`` is the
+# input cube the term came from and ``extra`` the cubes conjoined onto it
+# since, as ``(cube, index)`` pairs: the whole cube for ``index < 0``, else
+# the ``index``-th cube of its complement (see ``Cube.complement_cubes``).
+# ``_cubes_of`` builds a Cube only for the terms left at the end, with its
+# literals in the order the step-by-step Cube operations give them.
+# ---------------------------------------------------------------------- #
+
+#: covers of at most this many cubes are cleaned by scanning the kept cubes;
+#: bucketing by care mask only pays on larger ones (2-4-literal cubes over
+#: 130 variables break even near 30 cubes; on covers over 10 variables the
+#: scan is still the faster at 50)
+_SCAN_MAX = 32
+
+
+def _uncontained(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of the packed cubes that no other cube of ``pairs`` covers.
+
+    Sorted by literal count (stable), and of equal cubes only the first
+    survives: the order of :meth:`Cover.remove_contained`.  A cube can only
+    be covered by one with fewer literals or by an earlier copy of itself,
+    so every cube is checked against the cubes kept before it.  On larger
+    inputs the kept cubes are bucketed by care mask: a cube is checked only
+    against the masks that are subsets of its own care, by one set lookup of
+    its value under the mask.  Those masks are found by walking the kept
+    masks or, when fewer, the subsets of the cube's care.
+    """
+    if len(pairs) < 2:
+        return list(range(len(pairs)))
+    counts = [pair[0].bit_count() for pair in pairs]
+    order = sorted(range(len(pairs)), key=counts.__getitem__)
+    kept: list[int] = []
+    if len(pairs) <= _SCAN_MAX:
+        kept_pairs: list[tuple[int, int]] = []
+        for i in order:
+            care, value = pairs[i][0], pairs[i][1]
+            for other_care, other_value in kept_pairs:
+                if not other_care & ~care and not (other_value ^ value) & other_care:
+                    break
+            else:
+                kept.append(i)
+                kept_pairs.append((care, value))
+        return kept
+    buckets: dict[int, set[int]] = {}
+    for i in order:
+        care, value = pairs[i][0], pairs[i][1]
+        if _bucket_covers(buckets, care, value, counts[i]):
+            continue
+        values = buckets.get(care)
+        if values is None:
+            buckets[care] = {value}
+        else:
+            values.add(value)
+        kept.append(i)
+    return kept
+
+
+def _bucket_covers(buckets: dict[int, set[int]], care: int, value: int, literals: int) -> bool:
+    """True if a cube of ``buckets`` (care mask -> values) covers ``(care, value)``."""
+    if len(buckets) > 1 << literals:
+        mask = care
+        while True:
+            values = buckets.get(mask)
+            if values is not None and value & mask in values:
+                return True
+            if not mask:
+                return False
+            mask = (mask - 1) & care
+    for mask, values in buckets.items():
+        if not mask & ~care and value & mask in values:
+            return True
+    return False
+
+
+def _terms_of(cubes: Iterable[Cube]) -> list[tuple]:
+    return [(cube._care, cube._value, cube, ()) for cube in cubes]
+
+
+def _cleaned(terms: list[tuple]) -> list[tuple]:
+    """``remove_contained`` on terms."""
+    if len(terms) < 2:
+        return terms
+    return [terms[i] for i in _uncontained(terms)]
+
+
+def _anded(cubes: list[Cube], cube: Cube) -> list[tuple]:
+    """Terms of the products of ``cubes`` with ``cube`` (``intersect_cube`` uncleaned)."""
+    care = cube._care
+    value = cube._value
+    extra = ((cube, -1),)
+    return [
+        (own._care | care, own._value | value, own, extra)
+        for own in cubes
+        if not (own._value ^ value) & own._care & care
+    ]
+
+
+def _sharped(terms: list[tuple], cube: Cube) -> list[tuple]:
+    """``terms \\ cube`` (``Cover.sharp_cube`` uncleaned).
+
+    A term disjoint from the cube is kept; one the cube covers is dropped;
+    any other is split over the complement pieces of the cube.  The term
+    agrees with the cube on every literal they share, so the ``i``-th piece
+    (the first ``i`` literals, then the ``i``-th one flipped) misses the term
+    exactly when the term binds the ``i``-th variable.
+    """
+    care = cube._care
+    value = cube._value
+    bits = [1 << _VAR_INDEX[var] for var in cube._literals]
+    result: list[tuple] = []
+    for term in terms:
+        own_care, own_value, base, extra = term
+        if (own_value ^ value) & own_care & care:
+            result.append(term)
+            continue
+        if not care & ~own_care:
+            continue
+        prefix = 0
+        for index, bit in enumerate(bits):
+            if not bit & own_care:
+                piece_care = prefix | bit
+                result.append(
+                    (
+                        own_care | piece_care,
+                        own_value | (value & prefix) | (~value & bit),
+                        base,
+                        extra + ((cube, index),),
+                    )
+                )
+            prefix |= bit
+    return result
+
+
+def _cubes_of(terms: list[tuple]) -> list[Cube]:
+    cubes: list[Cube] = []
+    for care, value, base, extra in terms:
+        if not extra:
+            cubes.append(base)
+            continue
+        literals = dict(base._literals)
+        for cube, index in extra:
+            if index < 0:
+                literals.update(cube._literals)
+                continue
+            for position, (var, bound) in enumerate(cube._literals.items()):
+                if position == index:
+                    literals[var] = 1 - bound
+                    break
+                literals[var] = bound
+        cubes.append(Cube._raw(literals, care, value))
+    return cubes
+
+
+# ---------------------------------------------------------------------- #
+# Reference cover operations
+#
+# The cube-by-cube implementations the packed chains replaced, kept as the
+# oracles of the differential tests (``tests/test_boolean_cover.py``) and for
+# the rare operations that grow the variable universe.
+# ---------------------------------------------------------------------- #
+
+
+def _reference_union_fold(covers: Iterable[Cover], variables: Iterable[str] = ()) -> Cover:
+    """:meth:`Cover.union` folded over ``covers`` from ``Cover.empty(variables)``."""
+    result = Cover.empty(variables)
+    for cover in covers:
+        result = result.union(cover)
+    return result
+
+
+def _reference_remove_contained(cover: Cover) -> Cover:
+    """Single-cube containment removal by pairwise ``Cube.covers`` calls."""
+    kept: list[Cube] = []
+    for cube in sorted(cover._cubes, key=Cube.num_literals):
+        if not any(other.covers(cube) for other in kept):
+            kept.append(cube)
+    return Cover._make(kept, cover._variables, cover._mask)
+
+
+def _reference_intersect_cube(cover: Cover, cube: Cube) -> Cover:
+    products = []
+    for other in cover._cubes:
+        product = other.intersect(cube)
+        if product is not None:
+            products.append(product)
+    if cube._care & ~cover._mask:
+        return _reference_remove_contained(Cover(products, cover._variables))
+    return _reference_remove_contained(Cover._make(products, cover._variables, cover._mask))
+
+
+def _reference_sharp_cube(cover: Cover, cube: Cube) -> Cover:
+    result: list[Cube] = []
+    for own in cover._cubes:
+        if not own.intersects(cube):
+            result.append(own)
+            continue
+        if cube.covers(own):
+            continue
+        for piece in cube.complement_cubes():
+            product = own.intersect(piece)
+            if product is not None:
+                result.append(product)
+    if cube._care & ~cover._mask:
+        return _reference_remove_contained(Cover(result, cover._variables))
+    return _reference_remove_contained(Cover._make(result, cover._variables, cover._mask))
+
+
+def _reference_sharp(cover: Cover, other: Cover) -> Cover:
+    result = cover
+    for cube in other:
+        result = _reference_sharp_cube(result, cube)
+        if result.is_empty():
+            break
+    return result
 
 
 # ---------------------------------------------------------------------- #

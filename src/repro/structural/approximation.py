@@ -18,6 +18,19 @@ Section VII:
 3. build the cover functions of the transitions (excitation regions);
 4. recompute the cover functions of the boundary places of every quiescent
    region by subtracting the successor excitation covers.
+
+A quiescent-region cover is the union of hundreds of place cubes on a deep
+pipeline.  Folding :meth:`Cover.union` place by place re-scans every kept
+cube for each cube added, which grows cubically with the depth.  The covers
+here instead gather the cubes of all their places (or regions) first and
+clean them in one containment pass (:meth:`Cover.union_all`): the packed
+``(care, value)`` pairs are sorted by literal count and the kept ones are
+bucketed by care mask, so a cube is only looked up under the masks that are
+subsets of its own care.  The anchor literal and the successor excitation
+covers are then applied in one packed chain (:meth:`Cover.anchored_sharp`)
+that builds a :class:`Cube` only for the pieces that survive.  Every cover
+equals, cube for cube and in order, the fold it replaced; the fold is kept
+as the ``_reference_*`` methods, which the differential tests compare to.
 """
 
 from __future__ import annotations
@@ -25,7 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.boolean.cover import Cover
+from repro.boolean.cover import (
+    Cover,
+    _reference_intersect_cube,
+    _reference_sharp,
+    _reference_union_fold,
+)
 from repro.boolean.cube import Cube
 from repro.stg.stg import STG
 from repro.structural.adjacency import structural_next_relation
@@ -133,7 +151,10 @@ class SignalRegionApproximation:
         cache[key] = result
         return result
 
-    def _qr_cover_uncached(self, transition: str, restricted: bool) -> Cover:
+    def _qr_domain(
+        self, transition: str, restricted: bool
+    ) -> tuple[list[str], set[str], dict[str, set[str]]]:
+        """(sorted QR places, successor transitions, boundary place -> successors)."""
         signal = self.stg.signal_of(transition)
         places = set(self.qps.get(transition, set()))
         if restricted:
@@ -147,21 +168,26 @@ class SignalRegionApproximation:
             for place in self.stg.net.preset(successor):
                 if place in places:
                     boundary.setdefault(place, set()).add(successor)
-        result = Cover.empty(self.stg.signal_names)
-        for place in sorted(places):
+        return sorted(places), successors, boundary
+
+    def _qr_cover_uncached(self, transition: str, restricted: bool) -> Cover:
+        places, successors, boundary = self._qr_domain(transition, restricted)
+        covers = []
+        for place in places:
             cover = self.cover_functions[place]
             for successor in boundary.get(place, ()):
                 cover = cover.sharp(self.er_cover(successor))
-            result = result.union(cover)
-        anchor = self._signal_value_cube(transition, after_firing=True)
-        if anchor is not None:
-            result = result.intersect_cube(anchor)
-        # Quiescent-region markings never enable a successor transition of the
-        # signal, so (under CSC) the codes of the successor excitation regions
-        # can be removed globally — this eliminates the overestimation that
-        # reaches the boundary through places of concurrent branches.
-        for successor in successors:
-            result = result.sharp(self.er_cover(successor))
+            covers.append(cover)
+        result = Cover.union_all(covers, self.stg.signal_names)
+        # Quiescent-region markings carry the signal's post-firing value (the
+        # anchor) and never enable a successor transition of the signal, so
+        # (under CSC) the codes of the successor excitation regions can be
+        # removed globally — this eliminates the overestimation that reaches
+        # the boundary through places of concurrent branches.
+        result = result.anchored_sharp(
+            self._signal_value_cube(transition, after_firing=True),
+            [self.er_cover(successor) for successor in successors],
+        )
         return result.with_variables(self.stg.signal_names)
 
     def br_cover(self, transition: str) -> Cover:
@@ -176,20 +202,10 @@ class SignalRegionApproximation:
         return result
 
     def _br_cover_uncached(self, transition: str) -> Cover:
-        places = set(self.bps.get(transition, set()))
-        predecessors = {
-            prev for prev, nexts in self.next_relation.items()
-            if transition in nexts
-        }
-        boundary: dict[str, set[str]] = {}
-        for predecessor in predecessors:
-            for place in self.stg.net.postset(predecessor):
-                if place in places:
-                    boundary.setdefault(place, set()).add(predecessor)
-        result = Cover.empty(self.stg.signal_names)
-        for place in sorted(places):
-            cover = self.cover_functions[place]
-            result = result.union(cover)
+        places = sorted(self.bps.get(transition, set()))
+        result = Cover.union_all(
+            (self.cover_functions[place] for place in places), self.stg.signal_names
+        )
         # The excitation region of the transition itself is not part of BR,
         # and every marking of BR carries the signal's pre-firing value.
         result = result.sharp(self.er_cover(transition))
@@ -208,9 +224,13 @@ class SignalRegionApproximation:
         key = ("ger", signal, direction)
         cached = cache.get(key)
         if cached is None:
-            cached = Cover.empty(self.stg.signal_names)
-            for transition in self.stg.transitions_by_direction(signal, direction):
-                cached = cached.union(self.er_cover(transition))
+            cached = Cover.union_all(
+                (
+                    self.er_cover(transition)
+                    for transition in self.stg.transitions_by_direction(signal, direction)
+                ),
+                self.stg.signal_names,
+            )
             cache[key] = cached
         return cached
 
@@ -221,11 +241,68 @@ class SignalRegionApproximation:
         cached = cache.get(key)
         if cached is None:
             direction = "+" if value == 1 else "-"
-            cached = Cover.empty(self.stg.signal_names)
-            for transition in self.stg.transitions_by_direction(signal, direction):
-                cached = cached.union(self.qr_cover(transition, restricted=restricted))
+            cached = Cover.union_all(
+                (
+                    self.qr_cover(transition, restricted=restricted)
+                    for transition in self.stg.transitions_by_direction(signal, direction)
+                ),
+                self.stg.signal_names,
+            )
             cache[key] = cached
         return cached
+
+    # ------------------------------------------------------------------ #
+    # Reference region covers
+    #
+    # The union-fold, cube-by-cube constructions the covers above replaced,
+    # uncached, kept as the oracles of the differential tests
+    # (``tests/test_structural.py``).
+    # ------------------------------------------------------------------ #
+
+    def _reference_qr_cover(self, transition: str, restricted: bool = False) -> Cover:
+        places, successors, boundary = self._qr_domain(transition, restricted)
+        result = Cover.empty(self.stg.signal_names)
+        for place in places:
+            cover = self.cover_functions[place]
+            for successor in boundary.get(place, ()):
+                cover = _reference_sharp(cover, self.er_cover(successor))
+            result = result.union(cover)
+        anchor = self._signal_value_cube(transition, after_firing=True)
+        if anchor is not None:
+            result = _reference_intersect_cube(result, anchor)
+        for successor in successors:
+            result = _reference_sharp(result, self.er_cover(successor))
+        return result.with_variables(self.stg.signal_names)
+
+    def _reference_br_cover(self, transition: str) -> Cover:
+        result = _reference_union_fold(
+            (self.cover_functions[place] for place in sorted(self.bps.get(transition, set()))),
+            self.stg.signal_names,
+        )
+        result = _reference_sharp(result, self.er_cover(transition))
+        anchor = self._signal_value_cube(transition, after_firing=False)
+        if anchor is not None:
+            result = _reference_intersect_cube(result, anchor)
+        return result.with_variables(self.stg.signal_names)
+
+    def _reference_ger_cover(self, signal: str, direction: str) -> Cover:
+        return _reference_union_fold(
+            (
+                self.er_cover(transition)
+                for transition in self.stg.transitions_by_direction(signal, direction)
+            ),
+            self.stg.signal_names,
+        )
+
+    def _reference_gqr_cover(self, signal: str, value: int, restricted: bool = False) -> Cover:
+        direction = "+" if value == 1 else "-"
+        return _reference_union_fold(
+            (
+                self._reference_qr_cover(transition, restricted=restricted)
+                for transition in self.stg.transitions_by_direction(signal, direction)
+            ),
+            self.stg.signal_names,
+        )
 
     # ------------------------------------------------------------------ #
     # Sets used by the synthesis correctness checks (Section VIII-B)

@@ -109,3 +109,34 @@ class TestPickle:
         assert clone.name == spec.name
         # the STG is re-parsed lazily in the unpickling process
         assert clone.stg.non_input_signals == spec.stg.non_input_signals
+
+
+class TestTextAndMemorySpecsAgree:
+    def test_pipeline_from_text_matches_the_in_memory_stg(self):
+        from repro.api import Pipeline, SynthesisOptions
+        from repro.benchmarks.scalable import muller_pipeline
+        from repro.petri.smcover import compute_sm_components
+
+        def without_timings(value):
+            if isinstance(value, dict):
+                return {
+                    key: without_timings(item)
+                    for key, item in value.items()
+                    if key not in ("seconds", "total_seconds")
+                }
+            return value
+
+        stg = muller_pipeline(20)
+        built = Spec.from_stg(stg)
+        parsed = Spec.from_text(write_g(stg))
+        assert parsed.stg.net.places != built.stg.net.places  # declared in another order
+        components = [
+            [component.places for component in compute_sm_components(spec.stg.net)]
+            for spec in (built, parsed)
+        ]
+        assert components[0] == components[1]
+        reports = [
+            Pipeline().run(spec, SynthesisOptions(), map_technology=True).to_dict()
+            for spec in (built, parsed)
+        ]
+        assert without_timings(reports[0]) == without_timings(reports[1])

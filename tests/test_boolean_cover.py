@@ -139,3 +139,112 @@ class TestBooleanFunction:
         assert literal_count(cover) == 4
         assert sop_transistor_estimate(cover) == 2 * 4 + 2 * 2
         assert transistor_estimate([cover], memory_elements=1) == 12 + 8
+
+
+# ---------------------------------------------------------------------- #
+# Differential tests: packed containment pass and cube chains vs the
+# retained cube-by-cube reference operations
+# ---------------------------------------------------------------------- #
+
+import random  # noqa: E402
+
+from repro.boolean.cover import (  # noqa: E402
+    _SCAN_MAX,
+    _reference_intersect_cube,
+    _reference_remove_contained,
+    _reference_sharp,
+    _reference_sharp_cube,
+    _reference_union_fold,
+)
+
+WIDE = [f"w{i}" for i in range(9)]
+
+
+def _sequence(cover):
+    """Cube order, packed masks and literal order: the full observable form."""
+    return [(cube.care_mask, cube.value_mask, tuple(cube.items())) for cube in cover]
+
+
+def _random_cube(rng, variables, max_literals):
+    chosen = rng.sample(variables, rng.randint(0, min(max_literals, len(variables))))
+    return Cube({var: rng.randint(0, 1) for var in chosen})
+
+
+def _random_cover(rng, variables, size, max_literals):
+    cubes = [_random_cube(rng, variables, max_literals) for _ in range(size)]
+    # duplicates and near-duplicates exercise the first-copy rule
+    for _ in range(size // 4):
+        cubes.insert(rng.randrange(len(cubes) + 1), rng.choice(cubes) if cubes else Cube())
+    return Cover(cubes, variables)
+
+
+#: sizes on both sides of the scan/bucket switch
+SIZES = (0, 1, 2, 3, _SCAN_MAX, _SCAN_MAX + 1, 30, 80)
+
+
+class TestPackedContainmentPass:
+    def test_remove_contained_matches_reference(self):
+        rng = random.Random(20261018)
+        for case in range(300):
+            size = SIZES[case % len(SIZES)]
+            cover = _random_cover(rng, WIDE, size, max_literals=1 + case % 6)
+            assert _sequence(cover.remove_contained()) == _sequence(
+                _reference_remove_contained(cover)
+            ), case
+
+    def test_union_all_matches_union_fold(self):
+        rng = random.Random(7)
+        for case in range(300):
+            covers = [
+                _random_cover(rng, WIDE, rng.choice(SIZES[:6]), max_literals=1 + case % 5)
+                for _ in range(rng.randint(0, 12))
+            ]
+            gathered = Cover.union_all(covers, WIDE)
+            folded = _reference_union_fold(covers, WIDE)
+            assert _sequence(gathered) == _sequence(folded), case
+            assert gathered.variables == folded.variables
+
+    def test_union_all_extends_the_universe_like_the_fold(self):
+        covers = [Cover([Cube({"a": 1})], ["a"]), Cover([Cube({"z": 0, "a": 1})], ["z", "a"])]
+        assert Cover.union_all(covers, ["b"]).variables == _reference_union_fold(
+            covers, ["b"]
+        ).variables
+
+    def test_intersect_and_sharp_match_reference(self):
+        rng = random.Random(99)
+        for case in range(300):
+            cover = _random_cover(rng, WIDE, SIZES[case % len(SIZES)], max_literals=4)
+            cube = _random_cube(rng, WIDE, max_literals=3)
+            assert _sequence(cover.intersect_cube(cube)) == _sequence(
+                _reference_intersect_cube(cover, cube)
+            ), case
+            assert _sequence(cover.sharp_cube(cube)) == _sequence(
+                _reference_sharp_cube(cover, cube)
+            ), case
+            other = _random_cover(rng, WIDE, rng.randint(0, 4), max_literals=4)
+            assert _sequence(cover.sharp(other)) == _sequence(
+                _reference_sharp(cover, other)
+            ), case
+
+    def test_anchored_sharp_matches_the_chained_operations(self):
+        rng = random.Random(5)
+        for case in range(200):
+            cover = _random_cover(rng, WIDE, SIZES[case % len(SIZES)], max_literals=3)
+            anchor = _random_cube(rng, WIDE, max_literals=1) if case % 3 else None
+            others = [
+                _random_cover(rng, WIDE, rng.randint(0, 3), max_literals=5)
+                for _ in range(rng.randint(0, 3))
+            ]
+            expected = cover if anchor is None else _reference_intersect_cube(cover, anchor)
+            for other in others:
+                expected = _reference_sharp(expected, other)
+            assert _sequence(cover.anchored_sharp(anchor, others)) == _sequence(expected), case
+
+    def test_operations_that_grow_the_universe(self):
+        cover = Cover([Cube({"a": 1}), Cube({"b": 0})], ["a", "b"])
+        cube = Cube({"x": 1, "a": 1})
+        assert cover.sharp_cube(cube).variables == ("a", "b", "x")
+        assert _sequence(cover.sharp_cube(cube)) == _sequence(_reference_sharp_cube(cover, cube))
+        assert _sequence(cover.anchored_sharp(cube, [])) == _sequence(
+            _reference_intersect_cube(cover, cube)
+        )

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.petri.invariants import place_invariants, token_count_of_invariant
+from repro.benchmarks import get_benchmark, list_benchmarks
+from repro.benchmarks.scalable import muller_pipeline
+from repro.petri.invariants import (
+    _compute_place_invariants,
+    _reference_place_invariants,
+    place_invariants,
+    token_count_of_invariant,
+)
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.properties import (
@@ -264,3 +271,40 @@ class TestRandomNets:
     def test_marked_graphs_are_free_choice(self, net):
         assert is_free_choice(net)
         assert is_marked_graph(net)
+
+
+def _semiflow_set(invariants):
+    return {tuple(sorted(invariant.items())) for invariant in invariants}
+
+
+class TestFarkasEliminationOrder:
+    @pytest.mark.parametrize("name", list_benchmarks())
+    def test_same_semiflows_as_declaration_order(self, name):
+        net = get_benchmark(name).net
+        invariants = _compute_place_invariants(net, 200_000)
+        assert _semiflow_set(invariants) == _semiflow_set(
+            _reference_place_invariants(net, 200_000)
+        )
+        assert len(invariants) == len(_semiflow_set(invariants))
+        keys = [sorted(invariant) for invariant in invariants]
+        assert keys == sorted(keys)
+
+    def test_cost_does_not_hang_on_declaration_order(self):
+        """A net parsed from .g text declares its transitions in another order.
+
+        Eliminated in declaration order, the parsed muller_pipeline(20) needs
+        seconds; with the smallest-product column first both nets take the
+        same handful of row combinations.
+        """
+        from repro.api import Spec
+        from repro.stg.writer import write_g
+
+        built = muller_pipeline(20).net
+        parsed = Spec.from_text(write_g(muller_pipeline(20))).stg.net
+        assert built.transitions != parsed.transitions
+        limit = 200  # peak rows on the parsed net: 79 here, 420 in declaration order
+        assert _semiflow_set(_compute_place_invariants(parsed, limit)) == _semiflow_set(
+            _compute_place_invariants(built, limit)
+        )
+        with pytest.raises(RuntimeError):
+            _reference_place_invariants(parsed, limit)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.benchmarks import get_benchmark, list_benchmarks
 from repro.benchmarks.classic import classic_names, load_classic
 from repro.benchmarks.figures import fig7_glatch_stg
 from repro.benchmarks.scalable import muller_pipeline
@@ -216,3 +217,47 @@ class TestConflictsRefinementCSC:
         assert refinement.conflict_free
         report = check_csc_structural(stg, refinement.cover_functions, sm_cover)
         assert report.satisfied
+
+
+def _refined_approximation(stg):
+    """The approximation the structural backend synthesizes from."""
+    from repro.api import Pipeline, Spec, SynthesisOptions
+
+    return Pipeline().refine(Spec.from_stg(stg), SynthesisOptions()).approximation
+
+
+def _sequence(cover):
+    return [(cube.care_mask, cube.value_mask, tuple(cube.items())) for cube in cover]
+
+
+class TestRegionCoverOracles:
+    """Each region cover equals its union-fold ``_reference_*`` oracle, in order."""
+
+    def test_registry_holds_the_pipeline_depths(self):
+        assert {f"muller_pipeline_{depth}" for depth in (8, 16, 32)} <= set(list_benchmarks())
+
+    # the registry holds muller_pipeline at depths 8, 16 and 32 too
+    @pytest.mark.parametrize("name", list_benchmarks())
+    def test_covers_match_reference(self, name):
+        approximation = _refined_approximation(get_benchmark(name))
+        stg = approximation.stg
+        for transition in stg.transitions:
+            if stg.label(transition).direction not in "+-":
+                continue
+            for restricted in (False, True):
+                cover = approximation.qr_cover(transition, restricted=restricted)
+                reference = approximation._reference_qr_cover(transition, restricted)
+                assert _sequence(cover) == _sequence(reference), (transition, restricted)
+                assert cover.variables == reference.variables
+            assert _sequence(approximation.br_cover(transition)) == _sequence(
+                approximation._reference_br_cover(transition)
+            ), transition
+        for signal in stg.signal_names:
+            for direction in "+-":
+                assert _sequence(approximation.ger_cover(signal, direction)) == _sequence(
+                    approximation._reference_ger_cover(signal, direction)
+                ), (signal, direction)
+            for value in (0, 1):
+                assert _sequence(approximation.gqr_cover(signal, value)) == _sequence(
+                    approximation._reference_gqr_cover(signal, value)
+                ), (signal, value)
