@@ -7,9 +7,9 @@ section; the resulting rows are printed so that running
 
 produces the reproduced tables alongside the timing numbers.  Bench modules
 also push their rows into the session-scoped ``perf_record`` fixture, which
-is persisted at the repo root when the session ends, as ``$REPRO_BENCH_RECORD``
-(default ``BENCH_PR13.json``) — the machine-readable perf trajectory consumed
-by later PRs (``BENCH_PR1``
+is persisted at the repo root when the session ends, as ``BENCH_PR<n>.json``
+with ``<n>`` the record's ``"pr"`` field — the machine-readable perf
+trajectory consumed by later PRs (``BENCH_PR1``
 recorded the bit-packed kernel; PR2 the cached-pipeline sweep of the
 unified API; PR3 gate-netlist construction and gate-level differential
 verification; PR4 the compiled state-based engine and bit-parallel mapped
@@ -26,7 +26,6 @@ at depths 16..96 from ``bench_table7_scalable.py``).
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -98,7 +97,7 @@ _REQUIRED_SECTIONS = (
 
 @pytest.fixture(scope="session")
 def perf_record(request):
-    """Session-wide perf record, persisted as ``$REPRO_BENCH_RECORD`` on teardown."""
+    """Session-wide perf record, persisted as ``BENCH_PR<pr>.json`` on teardown."""
     record: dict = {
         "pr": 13,
         "kernel": (
@@ -213,8 +212,4 @@ def perf_record(request):
             "on_req_per_s": obs_results.get("on_req_per_s"),
             "on_over_off": obs_results.get("on_over_off"),
         }
-    scaling = record["results"].get("table7_structural_scaling", {})
-    if scaling:
-        record["structural_scaling"] = scaling
-    name = os.environ.get("REPRO_BENCH_RECORD") or "BENCH_PR13.json"
-    write_perf_record(repo_root / name, record)
+    write_perf_record(repo_root / f"BENCH_PR{record['pr']}.json", record)

@@ -486,7 +486,6 @@ class FleetSupervisor:
                 continue
             else:
                 reason = f"pid={worker.pid} heartbeat stale for {age:.1f}s"
-            self.hung_kills += 1
             if self.obs is not None:
                 self.obs.fleet_events.inc(kind="hung_kill")
             try:
@@ -495,6 +494,9 @@ class FleetSupervisor:
             except OSError:
                 pass
             self._respawn(slot, "respawn", reason + " (hung, killed)")
+            # counted once the slot holds the replacement, so a reader that
+            # sees the kill also sees the new worker
+            self.hung_kills += 1
 
     def metrics(self) -> Optional[dict]:
         """Fleet-wide metric aggregation: merge every process's snapshot.

@@ -59,7 +59,7 @@ from typing import Optional, Union
 #: different code version are ignored on read (treated as misses), so a
 #: store can safely outlive the code that filled it.  Bump whenever the
 #: semantics of any stage computation or artifact schema changes.
-CODE_VERSION = "repro-5.0"
+CODE_VERSION = "repro-5.1"
 
 #: Version of the on-disk layout (the ``v<N>`` directory level).
 LAYOUT_VERSION = 1
